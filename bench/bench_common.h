@@ -2,14 +2,12 @@
 // throughput accounting, and aligned table printing.
 //
 // Every binary prints a self-contained table matching the experiment index
-// in DESIGN.md §4; EXPERIMENTS.md records the measured output against the
-// paper's claims. Durations are deliberately short by default (the full
+// in DESIGN.md §4. Durations are deliberately short by default (the full
 // bench suite must run in minutes on a laptop-class host); override with
 // the LLXSCX_BENCH_MS environment variable for longer, steadier runs.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -17,12 +15,11 @@
 #include <functional>
 #include <initializer_list>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "util/barrier.h"
 #include "util/memorder.h"
 #include "util/stats.h"
+#include "util/timed_phase.h"
 
 namespace llxscx::bench {
 
@@ -64,36 +61,23 @@ struct PhaseResult {
 };
 
 // Runs `worker(thread_index, stop_flag)` on `threads` threads for
-// `phase_millis()` ms after a common start line; the worker returns its
-// completed-operation count. Timing convention: `seconds` spans start line
-// to the stop-flag flip — NOT to the joins — so each worker's post-stop
-// drain (its final in-flight op and stats snapshot) can't inflate the
-// denominator and deflate the reported ops/s.
+// `phase_millis()` ms through run_timed_phase (util/timed_phase.h, which
+// owns the timing convention); the worker returns its completed-operation
+// count, and each thread's StepCounts are summed.
 inline PhaseResult run_phase(
     int threads,
     const std::function<std::uint64_t(int, const std::atomic<bool>&)>& worker) {
-  SpinBarrier barrier(threads + 1);
-  std::atomic<bool> stop{false};
   std::vector<std::uint64_t> ops(threads, 0);
   std::vector<StepCounts> steps(threads);
-  std::vector<std::thread> pool;
-  for (int t = 0; t < threads; ++t) {
-    pool.emplace_back([&, t] {
-      Stats::reset_mine();
-      barrier.arrive_and_wait();
-      ops[t] = worker(t, stop);
-      steps[t] = Stats::my_snapshot();
-    });
-  }
-  barrier.arrive_and_wait();
-  const auto start = std::chrono::steady_clock::now();
-  std::this_thread::sleep_for(std::chrono::milliseconds(phase_millis()));
-  stop.store(true);
-  const auto end = std::chrono::steady_clock::now();
-  for (auto& th : pool) th.join();
-
   PhaseResult r;
-  r.seconds = std::chrono::duration<double>(end - start).count();
+  r.seconds = run_timed_phase(
+      threads, phase_millis(),
+      [&](int t, SpinBarrier& start_line, const std::atomic<bool>& stop) {
+        Stats::reset_mine();
+        start_line.arrive_and_wait();
+        ops[t] = worker(t, stop);
+        steps[t] = Stats::my_snapshot();
+      });
   for (int t = 0; t < threads; ++t) {
     r.total_ops += ops[t];
     r.steps += steps[t];

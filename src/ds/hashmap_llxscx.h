@@ -217,9 +217,12 @@ class BasicLlxScxHashMap {
       }
       if (chain >= kStallChainLen) {
         // Backpressure: never lengthen a chain this long — grow instead,
-        // migrate this bucket, and insert into the next table.
+        // migrate this bucket, and insert into the next table. grow() only
+        // initiates from table_: a successor still being migrated into has
+        // no next yet, so retry from table_, helping the migration in flight.
         grow(t);
-        t = route(t, b);
+        t = t->next.load(mo::acquire) != nullptr ? route(t, b)
+                                                 : table_.load(mo::acquire);
         continue;
       }
       auto lp = llx(pred);

@@ -25,13 +25,12 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "ds/container_api.h"
 #include "service/batch.h"
-#include "util/barrier.h"
 #include "util/random.h"
+#include "util/timed_phase.h"
 #include "workload/key_stream.h"
 #include "workload/latency_histogram.h"
 #include "workload/op_mix.h"
@@ -109,171 +108,157 @@ struct PhaseResult {
 
 namespace detail {
 
-// One timed phase over a shared engine. Same start-line / stop-flag shape
-// as bench_common.h's run_phase (and its timing convention: seconds span
-// the start line to the stop flip, NOT the joins, so post-stop drain
-// can't deflate ops/s) — rewritten here because the workload layer lives
-// under src/ (strictly below bench/) and returns per-op-type results, not
-// one opaque count.
+// One timed phase over a shared engine, timed by run_timed_phase
+// (util/timed_phase.h) like every bench phase; each thread keeps its own
+// per-op-type counts and latency histograms, merged after the joins.
 template <class Engine>
 PhaseResult run_phase(Engine& c, const PhaseSpec& spec, int threads,
                       std::uint64_t seed_base) {
   const KeyStreamFactory streams(spec.stream);
-  SpinBarrier barrier(threads + 1);
-  std::atomic<bool> stop{false};
   struct ThreadOut {
     std::uint64_t ops[kNumOpTypes] = {};
     LatencyHistogram latency[kNumOpTypes];
   };
   std::vector<ThreadOut> out(static_cast<std::size_t>(threads));
-  std::vector<std::thread> pool;
-  for (int t = 0; t < threads; ++t) {
-    pool.emplace_back([&, t] {
-      // Two independent per-thread deterministic sources: the key stream
-      // and the mix dice (decoupled so changing a distribution never
-      // re-rolls the op sequence).
-      const auto seed = seed_base + static_cast<std::uint64_t>(t);
-      std::unique_ptr<KeyStream> stream = streams.make(seed);
-      Xoshiro256 dice(seed ^ 0x9E3779B97F4A7C15ull);
-      ThreadOut& mine = out[static_cast<std::size_t>(t)];
-      if (spec.batch > 1) {
-        // Batched dispatch: fill a batch from the same (mix dice, key
-        // stream) sources — op-for-op the sequence a scalar worker would
-        // have issued — then hand it to container_apply_batch. Latency
-        // sampling times whole batches 1-in-kLatencySampleEvery and books
-        // batch-time/batch per op (the honest per-op figure: each op in a
-        // timed batch observed the batch's amortized cost), under the
-        // `batched: true` flag in the JSON rows so percentile semantics
-        // stay distinguishable from individually-timed scalar ops.
-        const auto b = static_cast<std::size_t>(spec.batch);
-        std::vector<BatchOp> ops(b);
-        std::vector<BatchResult> results(b);
-        std::vector<OpType> types(b);
-        RangeOut scan_buf;
-        barrier.arrive_and_wait();
-        std::uint64_t batches = 0;
-        std::uint64_t scans = 0;
-        while (!stop.load(std::memory_order_relaxed)) {
-          // Each round draws exactly b ops from the (dice, stream) pair —
-          // the same sequence a scalar worker would issue. Scans have no
-          // BatchOp kind (a batch is point ops; DESIGN.md §14), so a kScan
-          // draw executes scalar inline without consuming a batch slot and
-          // is timed individually; the remaining point ops form the batch.
-          std::size_t nb = 0;
-          for (std::size_t i = 0; i < b; ++i) {
-            const OpType op = spec.mix.pick(dice);
-            const std::uint64_t key = stream->next();
-            if (op == OpType::kScan) {
-              const bool scan_timed = (scans % kLatencySampleEvery) == 0;
-              std::chrono::steady_clock::time_point s0;
-              if (scan_timed) s0 = std::chrono::steady_clock::now();
-              scan_buf.clear();
-              container_scan(c, key, kScanSpan, kScanLimit, scan_buf);
-              if (scan_timed) {
-                const auto dt = std::chrono::steady_clock::now() - s0;
-                mine.latency[static_cast<unsigned>(OpType::kScan)].record(
-                    static_cast<std::uint64_t>(
-                        std::chrono::duration_cast<std::chrono::nanoseconds>(
-                            dt)
-                            .count()));
-              }
-              ++mine.ops[static_cast<unsigned>(OpType::kScan)];
-              ++scans;
-              continue;
-            }
-            types[nb] = op;
-            switch (op) {
-              case OpType::kRead:
-                ops[nb] = BatchOp::get(key);
-                break;
-              case OpType::kInsert:
-                ops[nb] = BatchOp::insert(key, 1);  // value convention below
-                break;
-              case OpType::kErase:
-                ops[nb] = BatchOp::erase(key);
-                break;
-              case OpType::kScan:
-                break;  // handled above
-            }
-            ++nb;
-          }
-          if (nb > 0) {
-            const bool timed = (batches % kLatencySampleEvery) == 0;
-            std::chrono::steady_clock::time_point t0;
-            if (timed) t0 = std::chrono::steady_clock::now();
-            container_apply_batch(c, ops.data(), nb, results.data());
-            if (timed) {
-              const auto dt = std::chrono::steady_clock::now() - t0;
-              const auto per_op = static_cast<std::uint64_t>(
-                  std::chrono::duration_cast<std::chrono::nanoseconds>(dt)
-                      .count() /
-                  static_cast<std::int64_t>(nb));
-              for (std::size_t i = 0; i < nb; ++i) {
-                mine.latency[static_cast<unsigned>(types[i])].record(per_op);
-              }
-            }
-            for (std::size_t i = 0; i < nb; ++i) {
-              ++mine.ops[static_cast<unsigned>(types[i])];
-            }
-          }
-          ++batches;
-        }
-        return;
-      }
-      barrier.arrive_and_wait();
-      RangeOut scan_buf;  // reused per thread: capacity survives the clear
-      std::uint64_t n = 0;
+  const auto worker = [&](int t, SpinBarrier& start_line,
+                          const std::atomic<bool>& stop) {
+    // Two independent per-thread deterministic sources: the key stream
+    // and the mix dice (decoupled so changing a distribution never
+    // re-rolls the op sequence).
+    const auto seed = seed_base + static_cast<std::uint64_t>(t);
+    std::unique_ptr<KeyStream> stream = streams.make(seed);
+    Xoshiro256 dice(seed ^ 0x9E3779B97F4A7C15ull);
+    ThreadOut& mine = out[static_cast<std::size_t>(t)];
+    if (spec.batch > 1) {
+      // Batched dispatch: fill a batch from the same (mix dice, key
+      // stream) sources — op-for-op the sequence a scalar worker would
+      // have issued — then hand it to container_apply_batch. Latency
+      // sampling times whole batches 1-in-kLatencySampleEvery and books
+      // batch-time/batch per op (the honest per-op figure: each op in a
+      // timed batch observed the batch's amortized cost), under the
+      // `batched: true` flag in the JSON rows so percentile semantics
+      // stay distinguishable from individually-timed scalar ops.
+      const auto b = static_cast<std::size_t>(spec.batch);
+      std::vector<BatchOp> ops(b);
+      std::vector<BatchResult> results(b);
+      std::vector<OpType> types(b);
+      RangeOut scan_buf;
+      start_line.arrive_and_wait();
+      std::uint64_t batches = 0;
+      std::uint64_t scans = 0;
       while (!stop.load(std::memory_order_relaxed)) {
-        const OpType op = spec.mix.pick(dice);
-        const std::uint64_t key = stream->next();
-        const bool timed = (n % kLatencySampleEvery) == 0;
-        std::chrono::steady_clock::time_point t0;
-        if (timed) t0 = std::chrono::steady_clock::now();
-        switch (op) {
-          case OpType::kRead:
-            c.contains(key);
-            break;
-          case OpType::kInsert:
-            // Value 1 across all engines — the conformance suite's
-            // convention; for the multiset family the value is a COUNT
-            // (insert(k, v) adds v copies), so anything else would grow
-            // the structure by the key's magnitude per op.
-            c.insert(key, 1);
-            break;
-          case OpType::kErase:
-            c.erase(key);
-            break;
-          case OpType::kScan:
+        // Each round draws exactly b ops from the (dice, stream) pair —
+        // the same sequence a scalar worker would issue. Scans have no
+        // BatchOp kind (a batch is point ops; DESIGN.md §14), so a kScan
+        // draw executes scalar inline without consuming a batch slot and
+        // is timed individually; the remaining point ops form the batch.
+        std::size_t nb = 0;
+        for (std::size_t i = 0; i < b; ++i) {
+          const OpType op = spec.mix.pick(dice);
+          const std::uint64_t key = stream->next();
+          if (op == OpType::kScan) {
+            const bool scan_timed = (scans % kLatencySampleEvery) == 0;
+            std::chrono::steady_clock::time_point s0;
+            if (scan_timed) s0 = std::chrono::steady_clock::now();
             scan_buf.clear();
             container_scan(c, key, kScanSpan, kScanLimit, scan_buf);
-            break;
+            if (scan_timed) {
+              const auto dt = std::chrono::steady_clock::now() - s0;
+              mine.latency[static_cast<unsigned>(OpType::kScan)].record(
+                  static_cast<std::uint64_t>(
+                      std::chrono::duration_cast<std::chrono::nanoseconds>(
+                          dt)
+                          .count()));
+            }
+            ++mine.ops[static_cast<unsigned>(OpType::kScan)];
+            ++scans;
+            continue;
+          }
+          types[nb] = op;
+          switch (op) {
+            case OpType::kRead:
+              ops[nb] = BatchOp::get(key);
+              break;
+            case OpType::kInsert:
+              ops[nb] = BatchOp::insert(key, 1);  // value convention below
+              break;
+            case OpType::kErase:
+              ops[nb] = BatchOp::erase(key);
+              break;
+            case OpType::kScan:
+              break;  // handled above
+          }
+          ++nb;
         }
-        if (timed) {
-          const auto dt = std::chrono::steady_clock::now() - t0;
-          mine.latency[static_cast<unsigned>(op)].record(
-              static_cast<std::uint64_t>(
-                  std::chrono::duration_cast<std::chrono::nanoseconds>(dt)
-                      .count()));
+        if (nb > 0) {
+          const bool timed = (batches % kLatencySampleEvery) == 0;
+          std::chrono::steady_clock::time_point t0;
+          if (timed) t0 = std::chrono::steady_clock::now();
+          container_apply_batch(c, ops.data(), nb, results.data());
+          if (timed) {
+            const auto dt = std::chrono::steady_clock::now() - t0;
+            const auto per_op = static_cast<std::uint64_t>(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(dt)
+                    .count() /
+                static_cast<std::int64_t>(nb));
+            for (std::size_t i = 0; i < nb; ++i) {
+              mine.latency[static_cast<unsigned>(types[i])].record(per_op);
+            }
+          }
+          for (std::size_t i = 0; i < nb; ++i) {
+            ++mine.ops[static_cast<unsigned>(types[i])];
+          }
         }
-        ++mine.ops[static_cast<unsigned>(op)];
-        ++n;
+        ++batches;
       }
-    });
-  }
-  barrier.arrive_and_wait();
-  const auto start = std::chrono::steady_clock::now();
-  std::this_thread::sleep_for(std::chrono::milliseconds(spec.millis));
-  stop.store(true);
-  const auto end = std::chrono::steady_clock::now();
-  for (auto& th : pool) th.join();
-
+      return;
+    }
+    start_line.arrive_and_wait();
+    RangeOut scan_buf;  // reused per thread: capacity survives the clear
+    std::uint64_t n = 0;
+    while (!stop.load(std::memory_order_relaxed)) {
+      const OpType op = spec.mix.pick(dice);
+      const std::uint64_t key = stream->next();
+      const bool timed = (n % kLatencySampleEvery) == 0;
+      std::chrono::steady_clock::time_point t0;
+      if (timed) t0 = std::chrono::steady_clock::now();
+      switch (op) {
+        case OpType::kRead:
+          c.contains(key);
+          break;
+        case OpType::kInsert:
+          // Value 1 across all engines — the conformance suite's
+          // convention; for the multiset family the value is a COUNT
+          // (insert(k, v) adds v copies), so anything else would grow
+          // the structure by the key's magnitude per op.
+          c.insert(key, 1);
+          break;
+        case OpType::kErase:
+          c.erase(key);
+          break;
+        case OpType::kScan:
+          scan_buf.clear();
+          container_scan(c, key, kScanSpan, kScanLimit, scan_buf);
+          break;
+      }
+      if (timed) {
+        const auto dt = std::chrono::steady_clock::now() - t0;
+        mine.latency[static_cast<unsigned>(op)].record(
+            static_cast<std::uint64_t>(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(dt)
+                    .count()));
+      }
+      ++mine.ops[static_cast<unsigned>(op)];
+      ++n;
+    }
+  };
   PhaseResult r;
+  r.seconds = run_timed_phase(threads, spec.millis, worker);
   r.phase = spec.name;
   r.mix = spec.mix.name;
   r.stream = spec.stream.name();
   r.threads = threads;
   r.batch = spec.batch;
-  r.seconds = std::chrono::duration<double>(end - start).count();
   for (const ThreadOut& o : out) {
     for (unsigned i = 0; i < kNumOpTypes; ++i) {
       r.per_type[i].ops += o.ops[i];

@@ -10,7 +10,9 @@
 //     over a truncated BENCH_*.json.
 //   - run_phase() must measure the phase up to the stop-flag flip, NOT
 //     through each worker's post-stop drain — a slow drain previously
-//     inflated `seconds` and deflated every reported ops/s.
+//     inflated `seconds` and deflated every reported ops/s. run_phase
+//     times through run_timed_phase (util/timed_phase.h), the same timer
+//     the E12 driver and the stress tests use, so this pins all of them.
 #include <gtest/gtest.h>
 
 #include <chrono>

@@ -7,17 +7,15 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <map>
 #include <mutex>
-#include <thread>
 #include <utility>
 #include <vector>
 
-#include "util/barrier.h"
 #include "util/random.h"
+#include "util/timed_phase.h"
 
 #if defined(__has_feature)
 #if __has_feature(address_sanitizer)
@@ -61,28 +59,22 @@ inline int stress_millis() {
   return 2000;
 }
 
-// Runs `threads` workers behind a common start line for stress_millis(),
-// then flips the stop flag and joins. worker(thread_index, rng, stop)
-// returns its completed-op count; the sum is returned. The rng is seeded
-// per-thread from seed_base so runs are reproducible.
+// Runs `threads` workers behind a common start line for stress_millis()
+// (util/timed_phase.h), then flips the stop flag and joins.
+// worker(thread_index, rng, stop) returns its completed-op count; the sum
+// is returned. The rng is seeded per-thread from seed_base so runs are
+// reproducible.
 template <typename WorkerFn>
 std::uint64_t run_stress_workers(int threads, unsigned seed_base,
                                  WorkerFn worker) {
-  SpinBarrier barrier(threads + 1);
-  std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> total_ops{0};
-  std::vector<std::thread> pool;
-  for (int t = 0; t < threads; ++t) {
-    pool.emplace_back([&, t] {
-      Xoshiro256 rng(seed_base + static_cast<unsigned>(t));
-      barrier.arrive_and_wait();
-      total_ops.fetch_add(worker(t, rng, stop));
-    });
-  }
-  barrier.arrive_and_wait();
-  std::this_thread::sleep_for(std::chrono::milliseconds(stress_millis()));
-  stop.store(true);
-  for (auto& th : pool) th.join();
+  run_timed_phase(threads, stress_millis(),
+                  [&](int t, SpinBarrier& start_line,
+                      const std::atomic<bool>& stop) {
+                    Xoshiro256 rng(seed_base + static_cast<unsigned>(t));
+                    start_line.arrive_and_wait();
+                    total_ops.fetch_add(worker(t, rng, stop));
+                  });
   return total_ops.load();
 }
 

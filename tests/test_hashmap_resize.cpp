@@ -12,9 +12,11 @@
 // AND PoolManager (the pool recycles every migrated node's storage).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -146,6 +148,42 @@ TEST(HashMapResize, OverwritesAreNotResurrectedByMigration) {
   ASSERT_TRUE(m.erase(kHot));
   EXPECT_FALSE(m.contains(kHot));
   Epoch::drain_all_for_testing();
+}
+
+// Regression for backpressure on a SUCCESSOR table: an insert routed into
+// the table still being migrated into can find its chain at
+// kStallChainLen there. grow() only initiates from table_, so that table
+// has no next yet; the old code routed anyway, took the null next, and
+// crashed. Concurrent random-order fills from the default 1024 buckets
+// hit that window within a few doublings.
+TEST(HashMapResize, ConcurrentShuffledFillSurvivesBackpressureMidMigration) {
+  const std::uint64_t kKeys = resize_keys();
+  constexpr int kWriters = 3;
+  std::vector<std::uint64_t> keys(kKeys);
+  for (std::uint64_t i = 0; i < kKeys; ++i) keys[i] = i + 1;
+  std::shuffle(keys.begin(), keys.end(), std::mt19937_64(11));
+  {
+    BasicLlxScxHashMap<EbrManager> m;
+    std::vector<std::thread> pool;
+    for (int w = 0; w < kWriters; ++w) {
+      pool.emplace_back([&, w] {
+        for (std::size_t i = w; i < keys.size(); i += kWriters) {
+          m.upsert(keys[i], keys[i] * 5);
+        }
+      });
+    }
+    for (auto& th : pool) th.join();
+    settle(m);
+    EXPECT_EQ(m.size(), kKeys);
+    EXPECT_LE(m.occupancy().max_bucket, kQuiescentChainBound);
+    for (std::uint64_t k = 1; k <= kKeys; ++k) {
+      auto v = m.get(k);
+      ASSERT_TRUE(v.has_value()) << k;
+      ASSERT_EQ(*v, k * 5) << k;
+    }
+  }
+  Epoch::drain_all_for_testing();
+  EXPECT_EQ(Epoch::outstanding(), 0u);
 }
 
 // The headline growth stress (acceptance shape from the ISSUE): 1M keys
