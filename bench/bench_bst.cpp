@@ -181,7 +181,10 @@ CellResult run_seq_bulk(const char* name, int threads) {
 }
 
 // VLX-validated range scans over a dense prefill: every window returns
-// 100 elements, so ops/s is whole-window scans per second.
+// 100 elements, so ops/s is whole-window scans per second. The prefill
+// inserts the keys in a seeded shuffled order: ascending inserts would
+// degenerate the unbalanced BST into a list (quadratic setup, and a scan
+// row that times a list walk), so every tree scans a random-shaped tree.
 template <typename MapT>
 CellResult run_scan(const char* name, int threads, std::uint64_t key_range) {
   constexpr std::uint64_t kSpan = 100;
@@ -191,8 +194,14 @@ CellResult run_scan(const char* name, int threads, std::uint64_t key_range) {
   res.threads = threads;
   res.update_pct = 0;
   res.key_range = key_range;
+  std::vector<std::uint64_t> keys(key_range);
+  for (std::uint64_t k = 1; k <= key_range; ++k) keys[k - 1] = k;
+  Xoshiro256 shuffle_rng(186);
+  for (std::uint64_t i = key_range; i > 1; --i) {
+    std::swap(keys[i - 1], keys[shuffle_rng.below(i)]);
+  }
   MapT map;
-  for (std::uint64_t k = 1; k <= key_range; ++k) map.insert(k, k);
+  for (std::uint64_t k : keys) map.insert(k, k);
   const auto r = bench::run_phase(
       threads, [&](int t, const std::atomic<bool>& stop) -> std::uint64_t {
         Xoshiro256 rng(300 + t);
@@ -297,8 +306,9 @@ bool run(const char* json_path) {
               "overhead remains; its win shows up under parallel grow.\n");
 
   std::printf("\nrange-scan stream: VLX-validated 100-key windows over a "
-              "dense 100k-key prefill — 0 LLX / 0 CAS / 0 shared writes "
-              "per clean attempt (test_range pins the step counts)\n");
+              "dense 100k-key prefill (shuffled insert order) — 0 LLX / "
+              "0 CAS / 0 shared writes per clean attempt (test_range pins "
+              "the step counts)\n");
   bench::Table sct({"threads", "structure", "scans/s", "keys"});
   for (int threads : bench::thread_grid({1, 4})) {
     const CellResult row[] = {

@@ -10,7 +10,8 @@
 //   ebr   — epoch-deferred delete (the default; bounded garbage)
 //   leaky — retire() drops nodes on the floor: footprint grows with every
 //           removal, and every leaked node pins its final SCX descriptor
-//           (the transitive cost of skipping reclamation)
+//           — only that one: a decided descriptor has already dropped its
+//           edges to its predecessors, so no chain hangs off it
 //   pool  — epoch-deferred recycling into per-thread free lists: same
 //           safety as ebr, but steady-state node churn stops paying
 //           malloc/free (pool hits are reported)

@@ -16,8 +16,9 @@
 // languages, such as C++, memory management is an issue", §6). Here the
 // GC edges are made explicit: every SCX-record carries a reference count
 // covering (a) Data-records whose info pointer is installed on it and
-// (b) the info_fields entries of live SCX-records that name it. A
-// descriptor whose count drops to zero is retired through the reclamation
+// (b) the info_fields entries of SCX-records that name it, held until
+// the naming SCX-record is decided (see scx()). A descriptor whose count
+// drops to zero is retired through the reclamation
 // policy that allocated it (reclaim/record_manager.h); every policy's
 // Guard pins the epoch, which shields in-flight readers: any pointer
 // loaded from a record's info field while a Guard is held stays valid
@@ -53,16 +54,29 @@ class ScxRecord;
 // usable so ScxRecord's member initializer can name it.
 void detail_retire_scx_default(ScxRecord* r);
 
+// What an LLX leaves behind for a later SCX/VLX: the record and the
+// descriptor witnessed in its info field (the paper's per-process table,
+// made explicit). Plain data — validity is covered by the caller's
+// Guard, which must span the LLX and the SCX/VLX that consumes it.
+struct LinkedLlx {
+  DataRecordBase* rec = nullptr;
+  ScxRecord* info = nullptr;
+};
+
 // SCX-record: the operation descriptor (paper Fig. 1). One is allocated per
 // SCX attempt and shared with helpers through the records it freezes.
 class ScxRecord {
  public:
-  // V capacity. 16 covers every per-operation shape in ds/ (the widest is
-  // the chromatic tree's k=5 rotations); the hash map's bucket-seal SCX
-  // (freeze an ENTIRE chain in one commit, ds/hashmap_llxscx.h) is the one
-  // consumer that needs headroom — its chains are capped well below this
-  // by the resize trigger, and the slack absorbs concurrent inserts that
-  // land between the trigger and the seal. Purely an array bound: k is a
+  // Inline V capacity: covers every per-operation shape in ds/ (the
+  // widest is the chromatic tree's k=5 rotations), so the descriptor an
+  // SCX touches is a few cache lines, not a kMaxV-sized block.
+  static constexpr std::size_t kInlineV = 6;
+  // Spill bound: a V-set wider than kInlineV lives in a side array that
+  // scx() allocates and ~ScxRecord frees. The one consumer is the hash
+  // map's bucket-seal SCX (freeze an ENTIRE chain in one commit,
+  // ds/hashmap_llxscx.h) — its chains are capped well below this by the
+  // resize trigger, and the slack absorbs concurrent inserts that land
+  // between the trigger and the seal. Purely an array bound: k is a
   // runtime value, so the k+1-CAS / f+2-writes shapes are unaffected.
   static constexpr std::size_t kMaxV = 48;
 
@@ -99,10 +113,13 @@ class ScxRecord {
   // Operation fields — written once by the creating thread in scx() before
   // the descriptor is published, read-only to helpers (except state_ /
   // all_frozen_, which helpers write).
-  DataRecordBase* v_[kMaxV] = {};
-  ScxRecord* info_fields_[kMaxV] = {};
+  // V: v_[i].rec is the i-th record, v_[i].info the descriptor its LLX
+  // witnessed (the paper's info_fields, the freezing CAS's expected value).
+  LinkedLlx* v_ = inline_v_;
   std::size_t k_ = 0;
-  std::size_t acquired_ = 0;  // how many info_fields_ references we hold
+  // How many v_[i].info references are held. Creator and ~ScxRecord
+  // only: scx() zeroes it after releasing them, post-publication.
+  std::size_t acquired_ = 0;
   std::uint64_t finalize_mask_ = 0;  // 64-bit: must index all of kMaxV
   std::atomic<std::uint64_t>* fld_ = nullptr;
   std::uint64_t old_ = 0;
@@ -117,6 +134,7 @@ class ScxRecord {
 
  private:
   std::atomic<std::uint64_t> refs_{1};  // creator's reference
+  LinkedLlx inline_v_[kInlineV];
 
   friend ScxRecord* detail_dummy_scx();
 };
@@ -166,15 +184,6 @@ class DataRecord : public DataRecordBase {
   mutable std::array<std::atomic<std::uint64_t>, NumMut> mut_ = {};
 };
 
-// What an LLX leaves behind for a later SCX/VLX: the record and the
-// descriptor witnessed in its info field (the paper's per-process table,
-// made explicit). Plain data — validity is covered by the caller's
-// Guard, which must span the LLX and the SCX/VLX that consumes it.
-struct LinkedLlx {
-  DataRecordBase* rec = nullptr;
-  ScxRecord* info = nullptr;
-};
-
 template <std::size_t NumMut>
 class LlxResult {
  public:
@@ -215,8 +224,8 @@ class LlxResult {
 // whether U committed.
 inline bool detail_help(ScxRecord* u) {
   for (std::size_t i = 0; i < u->k_; ++i) {
-    DataRecordBase* r = u->v_[i];
-    ScxRecord* exp = u->info_fields_[i];
+    DataRecordBase* r = u->v_[i].rec;
+    ScxRecord* exp = u->v_[i].info;
     ScxRecord* witnessed = exp;
     // Count the install edge BEFORE attempting to create it: if the count
     // could lag a won CAS (helper stalled between the two), every counted
@@ -276,7 +285,7 @@ inline bool detail_help(ScxRecord* u) {
       // relaxed: the mark needs no edge of its own — it is ordered before
       // the Committed state store by that store's release, which is the
       // edge LLX's marked2 re-read consumes (Fig. 2's finalization gate).
-      u->v_[i]->marked_.store(true, mo::relaxed);
+      u->v_[i].rec->marked_.store(true, mo::relaxed);
     }
   }
   std::uint64_t expected = u->old_;
@@ -296,7 +305,8 @@ inline bool detail_help(ScxRecord* u) {
 }
 
 inline ScxRecord::~ScxRecord() {
-  for (std::size_t i = 0; i < acquired_; ++i) info_fields_[i]->release();
+  for (std::size_t i = 0; i < acquired_; ++i) v_[i].info->release();
+  if (v_ != inline_v_) delete[] v_;
 }
 
 // LLX(r) — paper Fig. 2.
@@ -435,9 +445,9 @@ bool scx(const LinkedLlx* v, std::size_t k, std::uint64_t finalize_mask,
   u->fld_ = fld;
   u->old_ = old_val;
   u->new_ = new_val;
+  if (k > ScxRecord::kInlineV) u->v_ = new LinkedLlx[k];
   for (std::size_t i = 0; i < k; ++i) {
-    u->v_[i] = v[i].rec;
-    u->info_fields_[i] = v[i].info;
+    u->v_[i] = v[i];
     if (!v[i].info->try_acquire()) {
       // v[i].info already hit zero references, so v[i].rec has been
       // re-frozen since the LLX: this SCX must fail. u was never
@@ -451,6 +461,19 @@ bool scx(const LinkedLlx* v, std::size_t k, std::uint64_t finalize_mask,
     u->acquired_ = i + 1;
   }
   const bool ok = detail_help(u);
+  // Once u is decided, its info_fields edges have done their job: drop
+  // them now rather than when u dies, so a record's current descriptor
+  // does not pin every descriptor before it (DESIGN.md §2). ABA-safe: a
+  // helper only runs the freezing loop after reading kInProgress under its
+  // Guard, so that Guard predates this release and the epoch retirement of
+  // every expected descriptor. (If the all_frozen_ shortcut returned with
+  // u still undecided, ~ScxRecord releases them instead.) acquire: orders
+  // the releases, and the retirements they may trigger, after the
+  // decision this read observes — the order that argument relies on.
+  if (u->state_.load(mo::acquire) != ScxRecord::kInProgress) {
+    for (std::size_t i = 0; i < u->acquired_; ++i) u->v_[i].info->release();
+    u->acquired_ = 0;
+  }
   u->release();  // creator's reference
   if (!ok) Stats::scx_failed();
   return ok;

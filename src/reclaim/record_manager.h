@@ -258,13 +258,15 @@ struct LeakyManager {
 // design) then stops paying malloc/free on the steady state.
 //
 // Lists are keyed by SIZE CLASS, not by type (DESIGN.md §14): 16-byte
-// steps up to 256 bytes, then power-of-two classes up to 16 KiB (wide
-// enough for a full kMaxV=48 SCX descriptor). A block allocated for any
-// type in a class can be reused by any other type in that class — BST
-// internal nodes recycle into Patricia leaves, retired descriptors into
-// hashmap chain nodes — so mixed-structure churn shares one pool instead
-// of fragmenting across per-type lists. Types larger than the biggest
-// class fall back to plain new/delete (still grace-deferred).
+// steps up to 256 bytes, then power-of-two classes up to 16 KiB. An SCX
+// descriptor (inline room for ScxRecord::kInlineV records; wider V-sets
+// spill to a side array) falls in a 16-byte-step class. A block
+// allocated for any type in a class can be reused by any other type in
+// that class — BST internal nodes recycle into Patricia leaves, retired
+// descriptors into hashmap chain nodes — so mixed-structure churn shares
+// one pool instead of fragmenting across per-type lists. Types larger
+// than the biggest class fall back to plain new/delete (still
+// grace-deferred).
 //
 // Retirement rides Epoch::retire_buffered: expired retirees move to the
 // free lists in chunks with ONE epoch check per chunk, amortizing the

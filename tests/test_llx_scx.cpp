@@ -1,7 +1,7 @@
-// Single-thread (plus one helping-correctness) unit tests pinning down the
+// Single-thread (plus helping-correctness) unit tests pinning down the
 // LLX/SCX invariants listed in DESIGN.md §7: snapshot semantics, commit,
-// FINALIZED, conflict failure, VLX, and the paper's uncontended step
-// counts (claim C-A).
+// FINALIZED, conflict failure, VLX, the paper's uncontended step counts
+// (claim C-A), and V-sets wider than the descriptor's inline room.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "llxscx/llx_scx.h"
+#include "util/random.h"
 #include "util/stats.h"
 
 namespace llxscx {
@@ -164,6 +165,87 @@ TEST(LlxScx, ConcurrentIncrementsAreExact) {
   for (auto& th : pool) th.join();
   EXPECT_EQ(r.mut(0).load(), successes.load());
   EXPECT_GT(successes.load(), 0u);
+}
+
+// A V-set wider than ScxRecord::kInlineV spills to a side array; the
+// spilled SCX must keep the C-A shape (k+1 CAS, f+2 writes) and finalize
+// a record stored past the inline room.
+TEST(LlxScx, ScxOverSpilledVSetCommitsAndFinalizes) {
+  constexpr std::size_t k = ScxRecord::kInlineV + 2;
+  static_assert(k <= ScxRecord::kMaxV);
+  Epoch::Guard g;
+  Rec* recs[k];
+  LinkedLlx v[k];
+  for (std::size_t i = 0; i < k; ++i) {
+    recs[i] = new Rec(i, 0);
+    auto l = llx(recs[i]);
+    ASSERT_TRUE(l.ok());
+    v[i] = l.link();
+  }
+  const std::uint64_t mask = std::uint64_t{1} << (k - 1);
+  const StepCounts before = Stats::my_snapshot();
+  ASSERT_TRUE(scx(v, k, mask, &recs[0]->mut(1), 0, 99));
+  const StepCounts d = Stats::my_snapshot() - before;
+  if (kStepCounting) {
+    EXPECT_EQ(d.cas, k + 1);
+    EXPECT_EQ(d.shared_writes, 3u);
+  }
+  EXPECT_EQ(recs[0]->mut(1).load(), 99u);
+  EXPECT_TRUE(llx(recs[k - 1]).is_finalized());
+  for (std::size_t i = 0; i + 1 < k; ++i) {
+    auto l = llx(recs[i]);
+    ASSERT_TRUE(l.ok()) << "record " << i << " must be unfrozen again";
+    EXPECT_EQ(l.field(0), i);
+  }
+  for (auto* r : recs) retire_record(r);
+}
+
+// Four threads run SCXs over prefixes of one array of records, half of
+// them wider than the inline room, so helpers constantly run the freezing
+// loop over spilled V arrays whose creators may already have released
+// their expected descriptors (the use-after-free the sanitizer jobs are
+// there to catch). fld is a counter in a random record of V, so the
+// counters must sum to the number of committed SCXs.
+TEST(LlxScx, ConcurrentSpilledScxsAreExact) {
+  constexpr std::size_t kRecs = 2 * ScxRecord::kInlineV;
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 5000;
+  std::vector<Rec*> recs;
+  for (std::size_t i = 0; i < kRecs; ++i) recs.push_back(new Rec(0, 0));
+  std::atomic<std::uint64_t> successes{0};
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&, t] {
+      Xoshiro256 rng(31 + t);
+      std::uint64_t mine = 0;
+      LinkedLlx v[kRecs];
+      for (int i = 0; i < kPerThread; ++i) {
+        const std::size_t k = 1 + rng.below(kRecs);
+        const std::size_t target = rng.below(k);
+        Epoch::Guard g;
+        std::uint64_t old = 0;
+        bool linked = true;
+        for (std::size_t j = 0; j < k && linked; ++j) {
+          auto l = llx(recs[j]);
+          linked = l.ok();
+          v[j] = l.link();
+          if (j == target) old = l.field(0);
+        }
+        if (linked && scx(v, k, 0, &recs[target]->mut(0), old, old + 1)) {
+          ++mine;
+        }
+      }
+      successes.fetch_add(mine);
+    });
+  }
+  for (auto& th : pool) th.join();
+  std::uint64_t sum = 0;
+  for (Rec* r : recs) sum += r->mut(0).load();
+  EXPECT_EQ(sum, successes.load());
+  EXPECT_GT(successes.load(), 0u);
+  for (Rec* r : recs) delete r;
+  Epoch::drain_all_for_testing();
+  EXPECT_EQ(Epoch::outstanding(), 0u);
 }
 
 }  // namespace

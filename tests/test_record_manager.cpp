@@ -10,14 +10,18 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
+#include "ds/chromatic_llxscx.h"
 #include "ds/hashmap_llxscx.h"
 #include "ds/multiset_llxscx.h"
 #include "ds/queue_llxscx.h"
 #include "reclaim/record_manager.h"
+#include "util/barrier.h"
 #include "util/random.h"
 
 #include "tests/test_common.h"
@@ -323,6 +327,262 @@ TEST(PoolManagerStress, QueueConservesValuesWithTailHint) {
   EXPECT_GT(total_ops, 0u);
   PoolManager::drain();
   EXPECT_EQ(Epoch::outstanding(), 0u);
+}
+
+// --- Descriptor lifetime (DESIGN.md §2) ----------------------------------
+//
+// An SCX-record's info_fields edges last only until it is decided, so a
+// record's current descriptor does not pin the descriptors before it.
+// CountingManager (EBR underneath) counts live Data-records and live
+// descriptors through the policy verbs. After a drain every live
+// descriptor is installed on a live record: at most one per counted
+// record, plus one for the structure's embedded root, which the count
+// cannot see.
+
+struct CountingManager : EbrManager {
+  static constexpr const char* kName = "counting";
+  static inline std::atomic<std::int64_t> live_records{0};
+  static inline std::atomic<std::int64_t> live_descs{0};
+
+  template <class T, class... Args>
+  static T* alloc(Args&&... args) {
+    live_records.fetch_add(1, std::memory_order_relaxed);
+    return EbrManager::alloc<T>(std::forward<Args>(args)...);
+  }
+  template <class T>
+  static void retire(T* p) {
+    live_records.fetch_sub(1, std::memory_order_relaxed);
+    EbrManager::retire(p);
+  }
+  template <class T>
+  static void dealloc(T* p) {
+    live_records.fetch_sub(1, std::memory_order_relaxed);
+    EbrManager::dealloc(p);
+  }
+  template <class T, class... Args>
+  static T* alloc_desc(Args&&... args) {
+    live_descs.fetch_add(1, std::memory_order_relaxed);
+    return EbrManager::alloc_desc<T>(std::forward<Args>(args)...);
+  }
+  template <class T>
+  static void retire_desc(T* p) {
+    live_descs.fetch_sub(1, std::memory_order_relaxed);
+    EbrManager::retire_desc(p);
+  }
+  template <class T>
+  static void dealloc_desc(T* p) {
+    live_descs.fetch_sub(1, std::memory_order_relaxed);
+    EbrManager::dealloc_desc(p);
+  }
+};
+static_assert(RecordManager<CountingManager>);
+
+// Runs body(structure) on a fresh Structure<CountingManager>, then checks
+// that tearing it down and draining returns every record and descriptor.
+template <class Structure, class Body>
+void with_counted_structure(Body body) {
+  CountingManager::drain();
+  const std::int64_t records0 = CountingManager::live_records.load();
+  const std::int64_t descs0 = CountingManager::live_descs.load();
+  {
+    Structure s;
+    body(s, records0, descs0);
+  }
+  CountingManager::drain();
+  EXPECT_EQ(CountingManager::live_records.load(), records0)
+      << "a record outlived its structure";
+  EXPECT_EQ(CountingManager::live_descs.load(), descs0)
+      << "a descriptor outlived its structure";
+  EXPECT_EQ(Epoch::outstanding(), 0u);
+}
+
+// 100k insert/erase pairs over 16 keys, single-threaded: every committed
+// update re-freezes the root's neighbourhood, so a descriptor that kept
+// its info_fields edges until it died would leave one dead descriptor per
+// update chained behind the root.
+template <class Structure, class InsertFn, class EraseFn>
+void expect_descriptors_bounded(InsertFn insert, EraseFn erase) {
+  constexpr int kPairs = 100'000;
+  with_counted_structure<Structure>(
+      [&](Structure& s, std::int64_t records0, std::int64_t descs0) {
+        Xoshiro256 rng(11);
+        for (int i = 0; i < kPairs; ++i) {
+          insert(s, 1 + rng.below(16));
+          erase(s, 1 + rng.below(16));
+        }
+        CountingManager::drain();
+        const std::int64_t records =
+            CountingManager::live_records.load() - records0;
+        const std::int64_t descs = CountingManager::live_descs.load() - descs0;
+        EXPECT_GT(records, 0);
+        EXPECT_GT(descs, 0) << "descriptors must be counted at all";
+        EXPECT_LE(descs, records + 1)
+            << "descriptors pinned beyond the ones installed on live records";
+      });
+}
+
+TEST(DescriptorLifetime, ChromaticChurnKeepsDescriptorsBounded) {
+  expect_descriptors_bounded<BasicLlxScxChromatic<CountingManager>>(
+      [](auto& t, std::uint64_t k) { t.insert(k, k); },
+      [](auto& t, std::uint64_t k) { t.erase(k); });
+}
+
+TEST(DescriptorLifetime, MultisetChurnKeepsDescriptorsBounded) {
+  expect_descriptors_bounded<BasicLlxScxMultiset<CountingManager>>(
+      [](auto& m, std::uint64_t k) { m.insert(k, 1); },
+      [](auto& m, std::uint64_t k) { m.erase(k, 1); });
+}
+
+// Contended helping over the release point: 4 threads on 8 keys, so most
+// LLXs find a frozen record and help its in-progress descriptor while its
+// creator may already be releasing that descriptor's expected ones.
+// op(structure, key, dice, recorder) runs one operation; check(structure,
+// oracle) verifies the quiescent result.
+constexpr std::uint64_t kContendedKeys = 8;
+
+template <class Structure, class OpFn, class CheckFn>
+void contended_eight_keys(unsigned seed, OpFn op, CheckFn check) {
+  constexpr int kThreads = 4;
+  with_counted_structure<Structure>(
+      [&](Structure& s, std::int64_t, std::int64_t) {
+        testing::KeyedOracle oracle;
+        const std::uint64_t total_ops = testing::run_stress_workers(
+            kThreads, seed,
+            [&](int, Xoshiro256& rng, const std::atomic<bool>& stop) {
+              testing::KeyedOracle::Recorder rec(oracle);
+              std::uint64_t ops = 0;
+              while (!stop.load(std::memory_order_relaxed)) {
+                op(s, 1 + rng.below(kContendedKeys),
+                   static_cast<unsigned>(rng.below(100)), rec);
+                ++ops;
+              }
+              return ops;
+            });
+        EXPECT_GT(total_ops, 0u);
+        check(s, oracle);
+      });
+}
+
+TEST(DescriptorLifetime, ChromaticEightKeyHelpingStress) {
+  using Tree = BasicLlxScxChromatic<CountingManager>;
+  contended_eight_keys<Tree>(
+      301,
+      [](Tree& t, std::uint64_t key, unsigned dice, auto& rec) {
+        if (dice < 40) {
+          if (t.insert(key, key)) rec.add(key, 1);
+        } else if (dice < 80) {
+          if (t.erase(key)) rec.add(key, -1);
+        } else {
+          t.get(key);
+        }
+      },
+      [](Tree& t, const testing::KeyedOracle& oracle) {
+        for (std::uint64_t key = 1; key <= kContendedKeys; ++key) {
+          const std::int64_t net = oracle.net(key);
+          ASSERT_TRUE(net == 0 || net == 1) << "set semantics broken at " << key;
+          EXPECT_EQ(t.contains(key), net == 1) << "divergence at key " << key;
+        }
+        EXPECT_EQ(t.consistency_error(), std::nullopt);
+      });
+}
+
+TEST(DescriptorLifetime, MultisetEightKeyHelpingStress) {
+  using Multiset = BasicLlxScxMultiset<CountingManager>;
+  contended_eight_keys<Multiset>(
+      302,
+      [](Multiset& m, std::uint64_t key, unsigned dice, auto& rec) {
+        if (dice < 40) {
+          if (m.insert(key, 1)) rec.add(key, 1);
+        } else if (dice < 80) {
+          const std::uint64_t removed = m.erase(key, 1);
+          if (removed != 0) rec.add(key, -static_cast<std::int64_t>(removed));
+        } else {
+          m.get(key);
+        }
+      },
+      [](Multiset& m, const testing::KeyedOracle& oracle) {
+        for (std::uint64_t key = 1; key <= kContendedKeys; ++key) {
+          const std::int64_t net = oracle.net(key);
+          ASSERT_GE(net, 0) << "oracle accounting bug at " << key;
+          EXPECT_EQ(m.get(key), static_cast<std::uint64_t>(net))
+              << "divergence at key " << key;
+        }
+      });
+}
+
+// The spilled-V case under helping: a hash map born with ONE bucket must
+// double once an insert sees a chain of kResizeChainLen (8), and the seal
+// SCX of that bucket freezes the head plus the whole chain — k > 8, past
+// the descriptor's inline room. Four threads fill and then churn their own
+// keys in that bucket, so the seal's descriptor is helped by every insert
+// that meets the frozen chain. Rounds repeat on fresh maps for the stress
+// duration; each must end with the right contents and a grown table.
+TEST(DescriptorLifetime, HashMapSpilledSealUnderHelping) {
+  using Map = BasicLlxScxHashMap<CountingManager>;
+  static_assert(Map::kResizeChainLen + 1 > ScxRecord::kInlineV);
+  static constexpr int kThreads = 4;
+  static constexpr std::uint64_t kKeysPerThread = 8;
+  static constexpr int kChurnOps = 200;
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(testing::stress_millis());
+  int rounds = 0;
+  do {
+    with_counted_structure<Map>([&](Map& m, std::int64_t, std::int64_t) {
+      // expected[t][i]: the value thread t last stored for its i-th key
+      // (0 = absent). Key of (t, i) = i * kThreads + t + 1.
+      std::vector<std::vector<std::uint64_t>> expected(
+          kThreads, std::vector<std::uint64_t>(kKeysPerThread, 0));
+      SpinBarrier filled(kThreads);
+      std::vector<std::thread> pool;
+      for (int t = 0; t < kThreads; ++t) {
+        pool.emplace_back([&, t] {
+          Xoshiro256 rng(977 * rounds + t);
+          std::vector<std::uint64_t>& mine = expected[t];
+          const auto key_of = [t](std::uint64_t i) {
+            return i * kThreads + static_cast<std::uint64_t>(t) + 1;
+          };
+          std::uint64_t seq = 0;
+          // Fill first: no thread erases until all 32 keys are in, and
+          // inserts only lengthen a chain, so the first seal freezes at
+          // least the 8 nodes its growth trigger measured.
+          for (std::uint64_t i = 0; i < kKeysPerThread; ++i) {
+            mine[i] = ++seq;
+            m.upsert(key_of(i), mine[i]);
+          }
+          filled.arrive_and_wait();
+          for (int n = 0; n < kChurnOps; ++n) {
+            const std::uint64_t i = rng.below(kKeysPerThread);
+            if (rng.percent(50)) {
+              mine[i] = ++seq;
+              m.upsert(key_of(i), mine[i]);
+            } else if (rng.percent(50)) {
+              m.erase(key_of(i));
+              mine[i] = 0;
+            } else {
+              m.get(1 + rng.below(kThreads * kKeysPerThread));
+            }
+          }
+        });
+      }
+      for (auto& th : pool) th.join();
+      EXPECT_GT(m.bucket_count(), 1u) << "round " << rounds << " never grew";
+      for (int t = 0; t < kThreads; ++t) {
+        for (std::uint64_t i = 0; i < kKeysPerThread; ++i) {
+          const std::uint64_t key = i * kThreads + t + 1;
+          const auto got = m.get(key);
+          if (expected[t][i] == 0) {
+            EXPECT_FALSE(got.has_value()) << "erased key " << key;
+          } else {
+            ASSERT_TRUE(got.has_value()) << "lost key " << key;
+            EXPECT_EQ(*got, expected[t][i]) << "stale value at " << key;
+          }
+        }
+      }
+    });
+    ++rounds;
+  } while (std::chrono::steady_clock::now() < deadline &&
+           !::testing::Test::HasFailure());
+  EXPECT_GT(rounds, 0);
 }
 
 }  // namespace
